@@ -156,7 +156,7 @@ func LoadScenario(path string) (Scenario, error) { return scenario.LoadScenario(
 
 // ScenarioFaultSeed derives the fault-plan sub-seed of a master seed:
 // seed ^ ScenarioFaultSeedSalt, the documented derivation the scenario
-// compiler (and cmd/bicrit-gen) uses when no explicit fault seed is set.
+// compiler (and so `bicrit gen`) uses when no explicit fault seed is set.
 func ScenarioFaultSeed(seed int64) int64 { return seed ^ scenario.FaultSeedSalt }
 
 // ScenarioFaultSeedSalt is the fault sub-seed salt; ArrivalSeedSalt and
@@ -170,11 +170,11 @@ const (
 )
 
 // FormatScenarioBatchLine renders one committed batch as the standard
-// verbose line of the CLIs.
+// verbose line of `bicrit run -v`.
 func FormatScenarioBatchLine(br ClusterBatchReport) string { return scenario.FormatBatchLine(br) }
 
 // FormatScenarioDecisionLine renders one routing decision as the
-// standard verbose line of the CLIs.
+// standard verbose line of `bicrit run -v`.
 func FormatScenarioDecisionLine(d GridDecision) string { return scenario.FormatDecisionLine(d) }
 
 // WriteScenarioReport renders the unified report as the standard text
@@ -260,8 +260,8 @@ func MergeScenarioObservers(a, b ScenarioObserver) ScenarioObserver {
 }
 
 // ServeDebugHandler returns the net/http/pprof endpoints on their
-// standard /debug/pprof/ paths as an explicit mux; the CLIs bind it to
-// a separate listener behind -debug-addr.
+// standard /debug/pprof/ paths as an explicit mux; `bicrit serve` binds
+// it to a separate listener behind -debug-addr.
 func ServeDebugHandler() http.Handler { return serve.DebugHandler() }
 
 // ---------------------------------------------------------------------------
@@ -953,8 +953,8 @@ func SuggestFaultHorizon(maxRelease, totalMinWork float64, procs int) float64 {
 // GenerateFaultsForJobs generates the fault plan of a job stream: when
 // cfg.Horizon is zero it is estimated with SuggestFaultHorizon from the
 // stream's last release and total minimum work over the total processors
-// of cfg.Clusters. This is the one helper both CLIs use, so a given
-// (seed, stream, cluster sizes) names the same disaster everywhere.
+// of cfg.Clusters, so a given (seed, stream, cluster sizes) names the
+// same disaster everywhere.
 func GenerateFaultsForJobs(cfg FaultsConfig, jobs []OnlineJob) (*FaultsPlan, error) {
 	if cfg.Horizon == 0 {
 		maxRelease, work := 0.0, 0.0
@@ -972,16 +972,6 @@ func GenerateFaultsForJobs(cfg FaultsConfig, jobs []OnlineJob) (*FaultsPlan, err
 		cfg.Horizon = faults.SuggestHorizon(maxRelease, work, procs)
 	}
 	return faults.Generate(cfg)
-}
-
-// ParseClusterReplan builds a replan policy from its CLI name ("restart"
-// or "checkpoint") and checkpoint credit (0 = full credit).
-func ParseClusterReplan(kind string, credit float64) (ClusterReplanPolicy, error) {
-	k, err := cluster.ParseReplanKind(kind)
-	if err != nil {
-		return ClusterReplanPolicy{}, err
-	}
-	return ClusterReplanPolicy{Kind: k, Credit: credit}, nil
 }
 
 // ClusterReplanPolicy decides what a killed job looks like when it rejoins

@@ -8,16 +8,15 @@ import (
 	"strings"
 
 	"bicriteria"
-	"bicriteria/cmd/internal/cliutil"
 )
 
-// genCmd writes a scenario file from flags: the migration path from the
-// legacy per-binary flag sets to one declarative spec. The single -seed
-// flag deterministically derives every sub-stream: the task stream uses
-// the seed itself, arrival instants seed^ArrivalSeedSalt, runtime tails
-// seed^RuntimeSeedSalt, and the fault plan seed^ScenarioFaultSeedSalt
-// (left implicit in the file — the compiler derives it — unless
-// -fault-seed pins one explicitly).
+// genCmd writes a scenario file from flags. Knobs without a flag
+// (cluster reservations, the service's queue shape, ...) are set by
+// editing the file. The single -seed flag deterministically derives
+// every sub-stream: the task stream uses the seed itself, arrival
+// instants seed^ArrivalSeedSalt, runtime tails seed^RuntimeSeedSalt, and
+// the fault plan seed^ScenarioFaultSeedSalt (left implicit in the file —
+// the compiler derives it — unless -fault-seed pins one explicitly).
 func genCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bicrit gen", flag.ContinueOnError)
 	name := fs.String("name", "", "scenario name (reports, file headers)")
@@ -72,7 +71,7 @@ func genCmd(args []string, out io.Writer) error {
 	}
 	sizes, err := parseSizes(*clustersFlag)
 	if err != nil {
-		return err
+		return fmt.Errorf("-clusters: %w", err)
 	}
 
 	clusters := make([]bicriteria.ScenarioCluster, len(sizes))
@@ -177,5 +176,23 @@ func describeSizes(sizes []int) string {
 	return "clusters " + strings.Join(parts, ",")
 }
 
-// parseSizes parses the -clusters flag into processor counts.
-func parseSizes(s string) ([]int, error) { return cliutil.ParseSizes(s) }
+// parseSizes parses a comma-separated list of positive integers: the
+// processor counts of gen's -clusters, the task counts of exp's -tasks.
+func parseSizes(s string) ([]int, error) {
+	var sizes []int
+	for _, p := range strings.Split(s, ",") {
+		p = strings.TrimSpace(p)
+		if p == "" {
+			continue
+		}
+		v, err := strconv.Atoi(p)
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad count %q (want a positive integer)", p)
+		}
+		sizes = append(sizes, v)
+	}
+	if len(sizes) == 0 {
+		return nil, fmt.Errorf("empty list")
+	}
+	return sizes, nil
+}

@@ -1,32 +1,19 @@
-// Command bicrit-lb computes the lower bounds used by the paper's
-// evaluation for a workload file: the dual-approximation makespan bound and
-// the minsum bounds (fast squashed-area bound and the LP relaxation of
-// section 3.3).
-//
-// Usage:
-//
-//	bicrit-lb -i workload.json -lp
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"bicriteria"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "bicrit-lb:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("bicrit-lb", flag.ContinueOnError)
+// lbCmd computes the lower bounds used by the paper's evaluation for a
+// workload file: the dual-approximation makespan bound and the minsum
+// bounds (fast squashed-area bound and the LP relaxation of section 3.3).
+func lbCmd(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("bicrit lb", flag.ContinueOnError)
 	input := fs.String("i", "", "input workload file (JSON, required)")
 	useLP := fs.Bool("lp", true, "also compute the LP-relaxation minsum bound")
 	if err := fs.Parse(args); err != nil {

@@ -9,7 +9,7 @@ import (
 	"bicriteria"
 )
 
-func TestRunPrintsBounds(t *testing.T) {
+func TestLBPrintsBounds(t *testing.T) {
 	inst, err := bicriteria.GenerateWorkload(bicriteria.WorkloadConfig{
 		Kind: bicriteria.WorkloadMixed, M: 10, N: 12, Seed: 4,
 	})
@@ -21,7 +21,7 @@ func TestRunPrintsBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run([]string{"-i", path}, &buf); err != nil {
+	if err := lbCmd([]string{"-i", path}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -32,12 +32,12 @@ func TestRunPrintsBounds(t *testing.T) {
 	}
 }
 
-func TestRunErrors(t *testing.T) {
+func TestLBErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{}, &buf); err == nil {
+	if err := lbCmd([]string{}, &buf); err == nil {
 		t.Fatalf("missing -i must fail")
 	}
-	if err := run([]string{"-i", "missing.json"}, &buf); err == nil {
+	if err := lbCmd([]string{"-i", "missing.json"}, &buf); err == nil {
 		t.Fatalf("missing file must fail")
 	}
 }

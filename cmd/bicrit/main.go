@@ -1,13 +1,19 @@
-// Command bicrit is the unified scenario CLI: one binary that consumes
-// scenario files — the single declarative spec of the bicriteria library
-// — and drives every layer of the stack with them.
+// Command bicrit is the one command-line tool of the bicriteria library.
+// Its scenario subcommands consume scenario files — the single
+// declarative spec of the library — and drive every layer of the stack
+// with them; its instance subcommands work on off-line workload files.
 //
-// Subcommands:
+// Scenario subcommands:
+//
+//   - gen: write a scenario file from flags. Anything gen has no flag
+//     for (cluster reservations, submission queue shape, ...) is set by
+//     editing the file.
+//
+//     bicrit gen -topology grid -clusters 64,32,16 -n 300 -rate 6 -o scenario.json
 //
 //   - run: replay a scenario offline through its compiled engine (the
 //     cluster engine for single topology, the grid federation for grid)
-//     and print the standard report. Byte-identical to what the legacy
-//     bicrit-cluster / bicrit-grid shims print for the equivalent flags.
+//     and print the standard report, optionally with JSON/CSV exports.
 //
 //     bicrit run -v scenario.json
 //     bicrit run -json report.json -csv clusters.csv scenario.json
@@ -27,10 +33,34 @@
 //
 //     bicrit serve -addr :8080 scenario.json
 //
-//   - gen: write a scenario file from flags — the migration path from
-//     the legacy flag soup to scenario files.
+//   - load: the load generator; replay an arrival stream against a
+//     running service over HTTP, paced by the stream's gaps.
 //
-//     bicrit gen -topology grid -clusters 64,32,16 -n 300 -rate 6 -o scenario.json
+//     bicrit load -target http://localhost:8080 -in stream.json -speedup 60 -drain
+//
+// Instance and experiment subcommands:
+//
+//   - workload: generate an off-line instance (the paper's section 4.1
+//     models) or, with -arrivals, an on-line arrival stream.
+//
+//     bicrit workload -kind mixed -m 32 -n 40 -o w.json
+//
+//   - sched: schedule a workload file with DEMT or a baseline and print
+//     the metrics against the lower bounds, a Gantt chart or the
+//     assignments.
+//
+//     bicrit sched -i w.json -algo demt -gantt
+//
+//   - lb: compute the makespan and minsum lower bounds of a workload file.
+//
+//     bicrit lb -i w.json -lp
+//
+//   - exp: reproduce the paper's figures 3-7 (aggregated ratio tables,
+//     CSV) or run an ablation study.
+//
+//     bicrit exp -figure 6 -runs 40 -lp -csv figure6.csv
+//
+// Perf subcommands:
 //
 //   - bench: run the perf observatory's benchmark suite over every
 //     instrumented hot path and record a versioned BENCH trajectory;
@@ -52,8 +82,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"strings"
 
 	"bicriteria"
 )
@@ -65,36 +97,51 @@ func main() {
 	}
 }
 
+// subcommands lists every subcommand in help order.
+var subcommands = []struct {
+	name, help string
+	run        func(args []string, out io.Writer) error
+}{
+	{"run", "replay a scenario file offline and print the report", runCmd},
+	{"explain", "print one job's flight-recorder timeline (from a trace or scenario file)", explainCmd},
+	{"serve", "run a scenario file as a live scheduler service", func(args []string, out io.Writer) error {
+		return serveCmd(args, out, nil, nil)
+	}},
+	{"gen", "write a scenario file from flags", genCmd},
+	{"bench", "run the hot-path benchmark suite; -compare/-gate diff and gate trajectories", benchCmd},
+	{"top", "live terminal dashboard over a service's /metrics.prom", topCmd},
+	{"sched", "schedule a workload file with DEMT or a baseline", schedCmd},
+	{"lb", "compute the lower bounds of a workload file", lbCmd},
+	{"exp", "reproduce the paper's figures or run an ablation study", expCmd},
+	{"workload", "generate a workload file or an arrival stream", workloadCmd},
+	{"load", "replay an arrival stream against a live service", loadCmd},
+}
+
 func dispatch(args []string) error {
+	names := make([]string, len(subcommands))
+	for i, c := range subcommands {
+		names[i] = c.name
+	}
+	usage := "usage: bicrit <" + strings.Join(names, "|") + "> [flags]"
 	if len(args) == 0 {
-		return fmt.Errorf("usage: bicrit <run|explain|serve|gen|bench|top> [flags] — see 'bicrit <cmd> -h'")
+		return fmt.Errorf("%s — see 'bicrit <cmd> -h'", usage)
 	}
 	switch args[0] {
-	case "run":
-		return runCmd(args[1:], os.Stdout)
-	case "explain":
-		return explainCmd(args[1:], os.Stdout)
-	case "serve":
-		return serveCmd(args[1:], os.Stdout, nil, nil)
-	case "gen":
-		return genCmd(args[1:], os.Stdout)
-	case "bench":
-		return benchCmd(args[1:], os.Stdout)
-	case "top":
-		return topCmd(args[1:], os.Stdout)
 	case "-version", "--version", "version":
 		fmt.Printf("bicrit %s (%s)\n", bicriteria.Version, runtime.Version())
 		return nil
 	case "-h", "-help", "--help", "help":
-		fmt.Println("usage: bicrit <run|explain|serve|gen|bench|top> [flags]")
-		fmt.Println("  run      replay a scenario file offline and print the report")
-		fmt.Println("  explain  print one job's flight-recorder timeline (from a trace or scenario file)")
-		fmt.Println("  serve    run a scenario file as a live scheduler service")
-		fmt.Println("  gen      write a scenario file from flags")
-		fmt.Println("  bench    run the hot-path benchmark suite; -compare/-gate diff and gate trajectories")
-		fmt.Println("  top      live terminal dashboard over a service's /metrics.prom")
+		fmt.Println(usage)
+		for _, c := range subcommands {
+			fmt.Printf("  %-9s%s\n", c.name, c.help)
+		}
 		fmt.Println("flags: -version prints the release and Go version")
 		return nil
 	}
-	return fmt.Errorf("unknown subcommand %q (want run, explain, serve, gen, bench or top)", args[0])
+	for _, c := range subcommands {
+		if c.name == args[0] {
+			return c.run(args[1:], os.Stdout)
+		}
+	}
+	return fmt.Errorf("unknown subcommand %q (want one of %s)", args[0], strings.Join(names, ", "))
 }

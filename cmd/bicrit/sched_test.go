@@ -24,11 +24,11 @@ func writeWorkload(t *testing.T) string {
 	return path
 }
 
-func TestRunAllAlgorithms(t *testing.T) {
+func TestSchedAllAlgorithms(t *testing.T) {
 	path := writeWorkload(t)
 	for _, algo := range []string{"demt", "gang", "sequential", "list", "lptf", "saf"} {
 		var buf bytes.Buffer
-		if err := run([]string{"-i", path, "-algo", algo}, &buf); err != nil {
+		if err := schedCmd([]string{"-i", path, "-algo", algo}, &buf); err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
 		out := buf.String()
@@ -38,10 +38,10 @@ func TestRunAllAlgorithms(t *testing.T) {
 	}
 }
 
-func TestRunWithGanttAndAssignments(t *testing.T) {
+func TestSchedGanttAndAssignments(t *testing.T) {
 	path := writeWorkload(t)
 	var buf bytes.Buffer
-	if err := run([]string{"-i", path, "-algo", "demt", "-gantt", "-assignments", "-lp"}, &buf); err != nil {
+	if err := schedCmd([]string{"-i", path, "-algo", "demt", "-gantt", "-assignments", "-lp"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -50,16 +50,16 @@ func TestRunWithGanttAndAssignments(t *testing.T) {
 	}
 }
 
-func TestRunErrors(t *testing.T) {
+func TestSchedErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{}, &buf); err == nil {
+	if err := schedCmd([]string{}, &buf); err == nil {
 		t.Fatalf("missing input file must fail")
 	}
-	if err := run([]string{"-i", "does-not-exist.json"}, &buf); err == nil {
+	if err := schedCmd([]string{"-i", "does-not-exist.json"}, &buf); err == nil {
 		t.Fatalf("missing file must fail")
 	}
 	path := writeWorkload(t)
-	if err := run([]string{"-i", path, "-algo", "bogus"}, &buf); err == nil {
+	if err := schedCmd([]string{"-i", path, "-algo", "bogus"}, &buf); err == nil {
 		t.Fatalf("unknown algorithm must fail")
 	}
 }

@@ -44,7 +44,7 @@
 // tracking queued through done states, periodic snapshots with
 // restore-on-restart, and a graceful drain whose final report is
 // identical to an offline replay of the same submission stream. See
-// cmd/bicrit-serve and examples/serve.
+// `bicrit serve` and examples/serve.
 //
 // The faults layer (internal/faults, exported as the Faults* identifiers)
 // injects deterministic failures through the whole stack: a seeded
@@ -67,10 +67,10 @@
 // context (cancellation threads into every batch loop), stream batch,
 // routing, kill and migration events through an Observer, and return one
 // unified Report. Scenarios round-trip through versioned JSON
-// (Save/LoadScenario, unknown fields rejected), the cmd/bicrit CLI
-// consumes scenario files directly (run | serve | gen), and the legacy
-// CLIs are thin flag-to-Scenario shims whose outputs the golden tests pin
-// byte for byte. Configuration errors everywhere are *ValidationError
+// (Save/LoadScenario, unknown fields rejected), and cmd/bicrit — the
+// one command-line tool — writes them from flags (gen), replays them
+// (run, explain) and serves them (serve), with golden tests pinning the
+// report bytes. Configuration errors everywhere are *ValidationError
 // values naming the offending field path ("clusters[2].machines"), raised
 // eagerly — before any goroutine spawns. See examples/scenario.
 //

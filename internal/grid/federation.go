@@ -59,23 +59,12 @@ type ClusterSpec struct {
 	Racing cluster.Racing
 }
 
-// DefaultQueueDepth is the per-shard dispatch queue capacity used when
-// Config.QueueDepth is zero.
-const DefaultQueueDepth = 64
-
 // Config drives a grid federation.
 type Config struct {
 	// Clusters lists the shards. At least one is required.
 	Clusters []ClusterSpec
 	// Routing picks the cluster of every job; nil means LeastBacklog().
 	Routing RoutingPolicy
-	// QueueDepth is retained for configuration compatibility and is
-	// validated but no longer shapes the replay: since routing became one
-	// shared pure pass (a requirement of shard-outage migration, which
-	// can retract an earlier decision), every shard's sub-stream is fully
-	// materialized before the engines run, so there is no router-to-shard
-	// handoff left to bound. Zero means DefaultQueueDepth.
-	QueueDepth int
 	// AdmitBacklog closes a cluster to new admissions while its estimated
 	// per-processor backlog (in time units) exceeds the limit; jobs are
 	// steered to open clusters instead. Zero disables admission control.
@@ -143,12 +132,6 @@ type Federation struct {
 func New(cfg Config) (*Federation, error) {
 	if len(cfg.Clusters) == 0 {
 		return nil, validate.Errorf("clusters", "federation needs at least one cluster")
-	}
-	if cfg.QueueDepth < 0 {
-		return nil, validate.Errorf("queue_depth", "negative queue depth %d", cfg.QueueDepth)
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = DefaultQueueDepth
 	}
 	if cfg.AdmitBacklog < 0 || math.IsNaN(cfg.AdmitBacklog) || math.IsInf(cfg.AdmitBacklog, 0) {
 		return nil, validate.Errorf("admit_backlog", "admission backlog limit must be non-negative and finite, got %g", cfg.AdmitBacklog)

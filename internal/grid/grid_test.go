@@ -408,9 +408,6 @@ func TestGridValidation(t *testing.T) {
 	if _, err := New(Config{Clusters: []ClusterSpec{{M: 0}}}); err == nil {
 		t.Fatal("zero-processor cluster accepted")
 	}
-	if _, err := New(Config{Clusters: []ClusterSpec{{M: 8}}, QueueDepth: -1}); err == nil {
-		t.Fatal("negative queue depth accepted")
-	}
 	if _, err := New(Config{Clusters: []ClusterSpec{{M: 8}}, AdmitBacklog: -1}); err == nil {
 		t.Fatal("negative admission limit accepted")
 	}

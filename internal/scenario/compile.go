@@ -232,12 +232,12 @@ func ServeConfig(s Scenario) (serve.Config, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Spec resolution: zero-means-default, matching the legacy CLI defaults
-// so flag shims are behaviour-preserving.
+// Spec resolution: zero means the default. The cmd/bicrit golden files
+// pin the defaults.
 // ---------------------------------------------------------------------------
 
-// Default knob values of the batching policies (the legacy CLI flag
-// defaults).
+// Default knob values of the batching policies and the combined
+// objective.
 const (
 	DefaultInterval   = 25
 	DefaultWorkFactor = 4
@@ -352,9 +352,9 @@ func (s Scenario) replanPolicy() (cluster.ReplanPolicy, error) {
 }
 
 // perturb builds the runtime-noise function of cluster index i,
-// reproducing the exact legacy seed derivations: the single topology
-// perturbs with the raw seed (bicrit-cluster), the grid decorrelates the
-// shards with seed ^ (i+1)*0x9E3779B9 (bicrit-grid).
+// with the seed derivations the cluster and grid goldens pin: the single
+// topology perturbs with the raw seed, the grid decorrelates the shards
+// with seed ^ (i+1)*0x9E3779B9.
 func (s Scenario) perturb(i int) (func(taskID int, planned float64) float64, error) {
 	seed := s.Seed
 	if s.Topology == TopologyGrid {
@@ -441,8 +441,8 @@ func buildJobs(s Scenario) ([]online.Job, error) {
 
 // buildFaults generates the deterministic fault plan of the scenario, or
 // nil without an active faults section. The horizon, when unset, is
-// estimated from the stream exactly like the legacy CLIs
-// (faults.SuggestHorizon over the total processors); ServeConfig passes
+// estimated from the stream (faults.SuggestHorizon over the total
+// processors); ServeConfig passes
 // nil jobs and therefore requires an explicit horizon.
 func buildFaults(s Scenario, jobs []online.Job) (*faults.Plan, error) {
 	if !s.Faults.Active() {
@@ -570,7 +570,6 @@ func gridConfig(s Scenario, plan *faults.Plan, reg *obs.Registry) (grid.Config, 
 	cfg := grid.Config{
 		Clusters:     specs,
 		Routing:      routing,
-		QueueDepth:   s.Routing.QueueDepth,
 		AdmitBacklog: s.Routing.AdmitBacklog,
 		Sequential:   s.Sequential,
 		Metrics:      reg,
@@ -753,8 +752,8 @@ func (r *clusterRunner) Run(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The legacy CLI cross-checks the realized trace against the
-	// reservations after every run; keep that safety net.
+	// Cross-check the realized trace against the reservations after
+	// every run: a safety net over the engine's own accounting.
 	if len(cfg.Reservations) > 0 {
 		if err := reservation.ValidateAgainstReservations(rep.Schedule, cfg.Reservations, rep.Blocked); err != nil {
 			return nil, fmt.Errorf("realized trace violates a reservation: %w", err)

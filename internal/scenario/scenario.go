@@ -17,9 +17,8 @@
 // through the right engine (cancellation threads into the batch loops),
 // an Observer streams batch, routing, kill and migration events as they
 // happen, and the unified Report is a superset of the cluster and grid
-// reports. The legacy CLIs (bicrit-cluster, bicrit-grid, bicrit-serve)
-// are thin shims translating their flags into a Scenario; cmd/bicrit
-// consumes scenario files directly.
+// reports. cmd/bicrit writes scenario files from flags (gen), replays
+// them (run) and serves them (serve).
 package scenario
 
 import (
@@ -37,8 +36,7 @@ const Version = 1
 // seed: when Faults.Seed is zero, the plan is generated with
 // Seed ^ FaultSeedSalt, decorrelating the failure streams from the task
 // stream the same way workload.ArrivalSeedSalt decorrelates the arrival
-// instants. (The legacy CLIs reused the raw seed; their shims pass it
-// explicitly to stay behaviour-preserving.)
+// instants.
 const FaultSeedSalt int64 = 0x5851F42D4C957F2D
 
 // RaceSeedSalt derives the racing-bandit sub-seed the same way: when
@@ -157,9 +155,6 @@ type Routing struct {
 	// AdmitBacklog closes a shard to new admissions above this estimated
 	// per-processor backlog; zero disables admission control.
 	AdmitBacklog float64 `json:"admit_backlog,omitempty"`
-	// QueueDepth is retained for configuration compatibility with
-	// grid.Config.QueueDepth; zero means the default.
-	QueueDepth int `json:"queue_depth,omitempty"`
 }
 
 // Faults configures deterministic fault injection and the replanning of
@@ -693,9 +688,6 @@ func (s Scenario) validatePolicies() error {
 	}
 	if !finiteNonNegative(s.Routing.AdmitBacklog) {
 		return validate.Errorf("routing.admit_backlog", "admission backlog limit must be non-negative and finite, got %g", s.Routing.AdmitBacklog)
-	}
-	if s.Routing.QueueDepth < 0 {
-		return validate.Errorf("routing.queue_depth", "negative queue depth %d", s.Routing.QueueDepth)
 	}
 	if math.IsNaN(s.Noise) || s.Noise < 0 || s.Noise >= 1 {
 		return validate.Errorf("noise", "noise fraction must lie in [0, 1), got %g", s.Noise)

@@ -117,7 +117,7 @@ type ArrivalConfig struct {
 // user-facing seed: the task stream draws from Seed itself, the arrival
 // instants from Seed ^ ArrivalSeedSalt and the runtime-tail factors from
 // Seed ^ RuntimeSeedSalt. The salts are exported so the documented
-// sub-seed derivation (see cmd/bicrit-gen and internal/scenario) names
+// sub-seed derivation (see cmd/bicrit and internal/scenario) names
 // the exact streams one -seed flag controls.
 const (
 	ArrivalSeedSalt = 0x5DEECE66D
