@@ -10,7 +10,6 @@ import (
 	"bicriteria/internal/buildinfo"
 	"bicriteria/internal/cluster"
 	"bicriteria/internal/core"
-	"bicriteria/internal/dualapprox"
 	"bicriteria/internal/experiment"
 	"bicriteria/internal/faults"
 	"bicriteria/internal/flight"
@@ -42,15 +41,10 @@ const Version = buildinfo.Version
 // and arrival process, topology (single cluster or sharded grid), batch
 // and routing policies, objectives, fault injection, replanning and
 // service pacing — one value that compiles to whichever engine the
-// topology needs. Build it as a literal, through NewScenario's functional
-// options, or load it from JSON (LoadScenario). See internal/scenario.
+// topology needs. Build it as a literal (Compile fills in the version and
+// topology defaults and validates it) or load it from JSON (LoadScenario).
+// See internal/scenario.
 type Scenario = scenario.Scenario
-
-// ScenarioOption mutates a scenario under construction; see NewScenario
-// and the With* constructors in internal/scenario (re-exported below as
-// Scenario method-style helpers is unnecessary: the spec's fields are
-// public and stable).
-type ScenarioOption = scenario.Option
 
 // ScenarioTopology selects the engine a scenario compiles to.
 type ScenarioTopology = scenario.Topology
@@ -78,43 +72,14 @@ type (
 
 // ValidationError is the unified configuration error of the library: it
 // names the exact field path that is wrong ("clusters[2].machines",
-// "arrivals.rate"). The eager checks of NewClusterEngine, NewGrid and
+// "arrivals.rate"). The eager checks of RunCluster, RunGrid and
 // NewServeServer raise it too, so bad configs fail before any goroutine
 // spawns, with the same error shape at every layer.
 type ValidationError = scenario.ValidationError
 
-// NewScenario builds a scenario from functional options and validates it
-// eagerly. The option constructors live in internal/scenario (WithSeed,
-// WithClusters, WithWorkload, ...) and are re-exported here:
-var (
-	ScenarioWithName        = scenario.WithName
-	ScenarioWithSeed        = scenario.WithSeed
-	ScenarioWithTopology    = scenario.WithTopology
-	ScenarioWithClusters    = scenario.WithClusters
-	ScenarioWithReservation = scenario.WithReservation
-	ScenarioWithWorkload    = scenario.WithWorkload
-	ScenarioWithArrivals    = scenario.WithArrivals
-	ScenarioWithArrivalLaws = scenario.WithArrivalLaws
-	ScenarioWithArrivalFile = scenario.WithArrivalFile
-	ScenarioWithTraceFile   = scenario.WithTraceFile
-	ScenarioWithBatchPolicy = scenario.WithBatchPolicy
-	ScenarioWithObjective   = scenario.WithObjective
-	ScenarioWithRouting     = scenario.WithRouting
-	ScenarioWithNoise       = scenario.WithNoise
-	ScenarioWithSequential  = scenario.WithSequential
-	ScenarioWithFaults      = scenario.WithFaults
-	ScenarioWithService     = scenario.WithService
-	ScenarioWithTrace       = scenario.WithTrace
-	ScenarioWithSLO         = scenario.WithSLO
-	ScenarioWithRacing      = scenario.WithRacing
-)
-
 // ScenarioTrace is the optional trace section of a scenario: where and
 // in which format the runner's event stream is written.
 type ScenarioTrace = scenario.TraceSpec
-
-// NewScenario builds and validates a scenario from functional options.
-func NewScenario(opts ...ScenarioOption) (Scenario, error) { return scenario.New(opts...) }
 
 // ScenarioRunner is a compiled scenario, ready to replay: Run(ctx)
 // drives the right engine with cancellation, Observe streams events.
@@ -144,30 +109,11 @@ func ScenarioServeConfig(s Scenario) (ServeConfig, error) { return scenario.Serv
 // WriteScenario serializes a scenario as versioned JSON.
 func WriteScenario(w io.Writer, s Scenario) error { return scenario.WriteScenario(w, s) }
 
-// ReadScenario parses and validates a scenario; unknown versions and
-// unknown fields are rejected.
-func ReadScenario(r io.Reader) (Scenario, error) { return scenario.ReadScenario(r) }
-
 // SaveScenario writes a scenario to a file path.
 func SaveScenario(path string, s Scenario) error { return scenario.SaveScenario(path, s) }
 
 // LoadScenario reads a scenario from a file path.
 func LoadScenario(path string) (Scenario, error) { return scenario.LoadScenario(path) }
-
-// ScenarioFaultSeed derives the fault-plan sub-seed of a master seed:
-// seed ^ ScenarioFaultSeedSalt, the documented derivation the scenario
-// compiler (and so `bicrit gen`) uses when no explicit fault seed is set.
-func ScenarioFaultSeed(seed int64) int64 { return seed ^ scenario.FaultSeedSalt }
-
-// ScenarioFaultSeedSalt is the fault sub-seed salt; ArrivalSeedSalt and
-// RuntimeSeedSalt (internal/workload) are its siblings for the arrival
-// and runtime-tail streams.
-const (
-	ScenarioFaultSeedSalt = scenario.FaultSeedSalt
-	ScenarioRaceSeedSalt  = scenario.RaceSeedSalt
-	ArrivalSeedSalt       = workload.ArrivalSeedSalt
-	RuntimeSeedSalt       = workload.RuntimeSeedSalt
-)
 
 // FormatScenarioBatchLine renders one committed batch as the standard
 // verbose line of `bicrit run -v`.
@@ -209,39 +155,15 @@ func WriteServeFinalReport(w io.Writer, rep *ServeFinalReport) { scenario.WriteF
 // service serves its own on GET /metrics.prom.
 type MetricsRegistry = obs.Registry
 
-// NewMetricsRegistry builds an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// PromContentType is the Content-Type of the Prometheus text exposition
-// format, as served by GET /metrics.prom.
-const PromContentType = obs.ContentType
-
-// ParsePrometheusText parses and validates Prometheus text-format
-// exposition, returning the metric families. Tests use it to pin the
-// scrape output's validity.
-func ParsePrometheusText(r io.Reader) ([]PromFamily, error) { return obs.ParseText(r) }
-
-// PromFamily is one parsed metric family of a Prometheus exposition.
-type PromFamily = obs.Family
-
 // TraceSink collects structured trace events from a (possibly
 // concurrent) replay and renders them deterministically as JSONL or
-// Chrome trace-event JSON (perfetto-viewable). Events carry simulated
-// time only, so seeded replays render byte-identically.
+// Chrome trace-event JSON (perfetto-viewable; Write's format "jsonl" or
+// "chrome"). Events carry simulated time only, so seeded replays render
+// byte-identically.
 type TraceSink = obs.Sink
 
 // NewTraceSink builds an empty trace sink.
 func NewTraceSink() *TraceSink { return obs.NewSink() }
-
-// TraceEvent is one structured replay event (batch, routing decision,
-// kill, migration or drain) stamped with simulated time.
-type TraceEvent = obs.Event
-
-// Trace output formats of TraceSink.Write.
-const (
-	TraceFormatChrome = obs.FormatChrome
-	TraceFormatJSONL  = obs.FormatJSONL
-)
 
 // ScenarioTraceObserver returns an observer recording every event of a
 // run into the sink; combine with RecordScenarioDrain after the run to
@@ -274,8 +196,7 @@ func ServeDebugHandler() http.Handler { return serve.DebugHandler() }
 // winning portfolio algorithm, the chosen allotment and the batch lower
 // bound on every event. Events sort under a total order, so concurrent
 // and sequential replays render byte-identical timelines. Attach one to a
-// compiled scenario with ScenarioRunner.Flight, or rebuild one from a
-// finished grid report with FlightFromGridReport.
+// compiled scenario with ScenarioRunner.Flight.
 type FlightRecorder = flight.Recorder
 
 // FlightEvent is one recorded stage of a job's flight.
@@ -304,11 +225,6 @@ const (
 
 // NewFlightRecorder builds an empty flight recorder.
 func NewFlightRecorder() *FlightRecorder { return flight.NewRecorder() }
-
-// FlightFromGridReport rebuilds a flight recorder from a finished grid
-// report — the path the live service uses, since a service cannot stream
-// observers (it replays its stream repeatedly).
-func FlightFromGridReport(rep *GridReport) *FlightRecorder { return flight.FromGridReport(rep) }
 
 // WriteFlightTimeline renders one job's timeline as the human-readable
 // text `bicrit explain` prints.
@@ -343,24 +259,8 @@ type SLOSummary = slo.Summary
 // threshold.
 type SLOAlert = slo.Alert
 
-// SLOJobOutcome is one job's realized outcome, the input of EvaluateSLO.
-type SLOJobOutcome = slo.JobOutcome
-
 // SLOClusterSummary is the per-cluster deadline axis of a summary.
 type SLOClusterSummary = slo.ClusterSummary
-
-// SLO alert states.
-const (
-	SLOStateFiring   = slo.StateFiring
-	SLOStateResolved = slo.StateResolved
-)
-
-// EvaluateSLO runs the rule set over the outcomes, deterministically:
-// outcomes are sorted internally, so concurrent and sequential replays
-// report bit-identical summaries.
-func EvaluateSLO(spec SLOSpec, outcomes []SLOJobOutcome) *SLOSummary {
-	return slo.Evaluate(spec, outcomes)
-}
 
 // ---------------------------------------------------------------------------
 // Structured logging
@@ -373,9 +273,6 @@ func EvaluateSLO(spec SLOSpec, outcomes []SLOJobOutcome) *SLOSummary {
 func NewLogger(w io.Writer, level string, json bool) (*slog.Logger, error) {
 	return logx.New(w, level, json)
 }
-
-// DiscardLogger returns a logger that drops every record.
-func DiscardLogger() *slog.Logger { return logx.Discard() }
 
 // ScenarioLogObserver returns an observer logging every committed batch,
 // kill and migration of a run as structured records; stack it behind your
@@ -404,11 +301,6 @@ func NewSequentialTask(id int, weight, duration float64) Task {
 	return moldable.Sequential(id, weight, duration)
 }
 
-// NewRigidTask builds a task that must run on exactly procs processors.
-func NewRigidTask(id int, weight float64, procs int, duration float64) Task {
-	return moldable.Rigid(id, weight, procs, duration)
-}
-
 // NewPerfectlyMoldableTask builds a task with linear speedup up to
 // maxProcs.
 func NewPerfectlyMoldableTask(id int, weight, seqTime float64, maxProcs int) Task {
@@ -426,13 +318,6 @@ type Schedule = schedule.Schedule
 
 // Assignment is the placement of a single task.
 type Assignment = schedule.Assignment
-
-// ScheduleMetrics bundles makespan, weighted completion, utilization...
-type ScheduleMetrics = schedule.Metrics
-
-// ValidateOptions tunes schedule validation (release dates, partial
-// schedules).
-type ValidateOptions = schedule.ValidateOptions
 
 // ---------------------------------------------------------------------------
 // The DEMT bi-criteria algorithm (the paper's contribution)
@@ -495,17 +380,8 @@ func ListScheduling(inst *Instance, order ListOrder) (*Schedule, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Dual approximation and lower bounds
+// Lower bounds
 // ---------------------------------------------------------------------------
-
-// DualApproxResult is the outcome of the two-shelf dual-approximation
-// construction (schedule, makespan estimate, certified lower bound,
-// allotment).
-type DualApproxResult = dualapprox.Result
-
-// DualApproximation runs the two-shelf dual-approximation makespan
-// algorithm used to anchor DEMT's batches.
-func DualApproximation(inst *Instance) (*DualApproxResult, error) { return dualapprox.TwoShelf(inst) }
 
 // MakespanLowerBound returns a certified lower bound on the optimal
 // makespan.
@@ -560,9 +436,6 @@ func LoadInstance(path string) (*Instance, error) { return workload.LoadInstance
 // WriteInstance serializes an instance as JSON.
 func WriteInstance(w io.Writer, inst *Instance) error { return workload.WriteInstance(w, inst) }
 
-// ReadInstance parses an instance from JSON.
-func ReadInstance(r io.Reader) (*Instance, error) { return workload.ReadInstance(r) }
-
 // ---------------------------------------------------------------------------
 // Experiment harness (the paper's figures)
 // ---------------------------------------------------------------------------
@@ -581,9 +454,6 @@ type ExperimentAlgorithm = experiment.Algorithm
 func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) { //lint:allow ctxflow offline experiment harness; not a replay entry point, runs to completion by design
 	return experiment.Run(cfg)
 }
-
-// FormatExperiment renders an experiment result as text tables.
-func FormatExperiment(res *ExperimentResult) string { return experiment.FormatTable(res) }
 
 // ---------------------------------------------------------------------------
 // On-line batch scheduling and cluster simulation
@@ -620,12 +490,6 @@ func DEMTOffline(opts *DEMTOptions) OfflineScheduler {
 // algorithm portfolio, objective, batching policy, reservations,
 // perturbation).
 type ClusterConfig = cluster.Config
-
-// ClusterEngine is a reusable event-driven cluster engine: it batches an
-// on-line job stream under a pluggable policy, schedules every batch with a
-// concurrent algorithm portfolio, places the winning plan around node
-// reservations and executes it on the discrete-event simulator.
-type ClusterEngine = cluster.Engine
 
 // ClusterReport is the outcome of a cluster run (realized schedule, batch
 // reports, aggregate metrics).
@@ -669,18 +533,11 @@ const (
 	ClusterObjectiveCombined           = cluster.ObjectiveCombined
 )
 
-// NewClusterEngine validates the configuration and builds an engine.
-func NewClusterEngine(cfg ClusterConfig) (*ClusterEngine, error) { return cluster.New(cfg) }
-
-// RunCluster builds an engine and replays the job stream through it.
-func RunCluster(cfg ClusterConfig, jobs []OnlineJob) (*ClusterReport, error) { //lint:allow ctxflow legacy context-free wrapper; the *Context variant is the cancellable entry point
-	return RunClusterContext(context.Background(), cfg, jobs) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
-}
-
-// RunClusterContext is RunCluster with cancellation: the context is
-// checked between batches, so cancelling it aborts the replay promptly
+// RunCluster validates the configuration, builds an event-driven cluster
+// engine and replays the job stream through it. The context is checked
+// between batches, so cancelling it aborts the replay promptly
 // (errors.Is(err, ctx.Err()) holds on the returned error).
-func RunClusterContext(ctx context.Context, cfg ClusterConfig, jobs []OnlineJob) (*ClusterReport, error) {
+func RunCluster(ctx context.Context, cfg ClusterConfig, jobs []OnlineJob) (*ClusterReport, error) {
 	eng, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
@@ -695,23 +552,6 @@ func ClusterPortfolio(opts *DEMTOptions) []ClusterAlgorithm { return cluster.Def
 
 // ClusterDEMTAlgorithm wraps the DEMT scheduler as a portfolio member.
 func ClusterDEMTAlgorithm(opts *DEMTOptions) ClusterAlgorithm { return cluster.DEMTAlgorithm(opts) }
-
-// BatchOnIdle fires a batch as soon as the machine is idle and jobs are
-// pending (the framework of section 2.2 of the paper).
-func BatchOnIdle() ClusterBatchPolicy { return cluster.BatchOnIdle() }
-
-// FixedIntervalPolicy fires batches on multiples of period, like a cron-run
-// batch scheduler.
-func FixedIntervalPolicy(period float64) (ClusterBatchPolicy, error) {
-	return cluster.FixedInterval(period)
-}
-
-// AdaptiveBacklogPolicy fires a batch once the pending jobs carry
-// workTarget processor-time units of minimum work, or once the oldest
-// pending job has waited maxDelay.
-func AdaptiveBacklogPolicy(workTarget, maxDelay float64) (ClusterBatchPolicy, error) {
-	return cluster.AdaptiveBacklog(workTarget, maxDelay)
-}
 
 // UniformRuntimeNoise builds a deterministic runtime perturbation scaling
 // every planned duration by a uniform factor in [1-frac, 1+frac], keyed by
@@ -733,12 +573,16 @@ type ArrivalConfig = workload.ArrivalConfig
 // runtime multipliers.
 type ArrivalDistribution = workload.Distribution
 
-// Arrival and runtime distributions.
+// Arrival and runtime distributions. ArrivalSeedSalt and RuntimeSeedSalt
+// derive the sub-seeds of the arrival and runtime-tail streams from a
+// master seed (seed ^ salt).
 const (
 	DistDefault     = workload.DistDefault
 	DistExponential = workload.DistExponential
 	DistLognormal   = workload.DistLognormal
 	DistWeibull     = workload.DistWeibull
+	ArrivalSeedSalt = workload.ArrivalSeedSalt
+	RuntimeSeedSalt = workload.RuntimeSeedSalt
 )
 
 // ParseArrivalDistribution converts a string such as "lognormal" into an
@@ -751,18 +595,9 @@ func ParseArrivalDistribution(s string) (ArrivalDistribution, error) {
 // workload family, submitted at Poisson (or bursty, heavy-tailed) instants.
 func GenerateArrivals(cfg ArrivalConfig) ([]Arrival, error) { return workload.GenerateArrivals(cfg) }
 
-// WriteArrivals serializes an arrival stream as JSON (an SWF-style trace
-// that keeps the moldable time vectors). M records the machine size the
-// stream was generated for.
-func WriteArrivals(w io.Writer, m int, arrivals []Arrival) error {
-	return workload.WriteArrivals(w, m, arrivals)
-}
-
-// ReadArrivals parses and validates a stream written by WriteArrivals,
-// returning the arrivals and the recorded machine size.
-func ReadArrivals(r io.Reader) ([]Arrival, int, error) { return workload.ReadArrivals(r) }
-
-// SaveArrivals writes an arrival stream to a file path.
+// SaveArrivals writes an arrival stream to a file path as JSON (an
+// SWF-style trace that keeps the moldable time vectors). M records the
+// machine size the stream was generated for.
 func SaveArrivals(path string, m int, arrivals []Arrival) error {
 	return workload.SaveArrivals(path, m, arrivals)
 }
@@ -801,10 +636,6 @@ type GridClusterSpec = grid.ClusterSpec
 // dispatch queues, admission control).
 type GridConfig = grid.Config
 
-// GridFederation runs N independent cluster engines as concurrent shards
-// behind a meta-scheduler routing one arrival stream.
-type GridFederation = grid.Federation
-
 // GridReport is the outcome of a grid run: routing decisions, per-shard
 // cluster reports and the grid-wide aggregate.
 type GridReport = grid.Report
@@ -823,19 +654,11 @@ type GridDecision = grid.Decision
 // GridRoutingPolicy decides which cluster receives each job of the stream.
 type GridRoutingPolicy = grid.RoutingPolicy
 
-// NewGrid validates the configuration and builds a federation, including
-// every shard engine.
-func NewGrid(cfg GridConfig) (*GridFederation, error) { return grid.New(cfg) }
-
-// RunGrid builds a federation and replays the job stream through it.
-func RunGrid(cfg GridConfig, jobs []OnlineJob) (*GridReport, error) { //lint:allow ctxflow legacy context-free wrapper; the *Context variant is the cancellable entry point
-	return RunGridContext(context.Background(), cfg, jobs) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
-}
-
-// RunGridContext is RunGrid with cancellation: the context threads into
-// every shard engine's batch loop, so cancelling it aborts the whole
-// federation run without deadlock, even on the concurrent path.
-func RunGridContext(ctx context.Context, cfg GridConfig, jobs []OnlineJob) (*GridReport, error) {
+// RunGrid validates the configuration, builds a federation (every shard
+// engine included) and replays the job stream through it. The context
+// threads into every shard engine's batch loop, so cancelling it aborts
+// the whole federation run without deadlock, even on the concurrent path.
+func RunGrid(ctx context.Context, cfg GridConfig, jobs []OnlineJob) (*GridReport, error) {
 	f, err := grid.New(cfg)
 	if err != nil {
 		return nil, err
@@ -857,10 +680,6 @@ func GridLowerBoundAware() GridRoutingPolicy { return grid.LowerBoundAware() }
 // GridMoldabilityAware routes each job to the smallest cluster fitting its
 // useful parallelism.
 func GridMoldabilityAware() GridRoutingPolicy { return grid.MoldabilityAware() }
-
-// ParseGridRoutingPolicy converts a string such as "least-backlog" into a
-// routing policy.
-func ParseGridRoutingPolicy(s string) (GridRoutingPolicy, error) { return grid.ParsePolicy(s) }
 
 // ---------------------------------------------------------------------------
 // Live scheduler service: the grid behind a concurrent submission API
@@ -902,10 +721,6 @@ type ServeJobSpec = serve.JobSpec
 // ServeAccepted acknowledges one admitted job with its virtual release.
 type ServeAccepted = serve.Accepted
 
-// ServeRejection is the typed refusal of a submission (rate limit,
-// backlog, full queue or draining) with a back-off hint.
-type ServeRejection = serve.Rejection
-
 // ServeFinalReport is the outcome of a drained service: the grid report
 // of the full deterministic replay of everything the service admitted.
 type ServeFinalReport = serve.FinalReport
@@ -945,33 +760,11 @@ type FaultWindow = faults.Window
 func GenerateFaults(cfg FaultsConfig) (*FaultsPlan, error) { return faults.Generate(cfg) }
 
 // SuggestFaultHorizon estimates a fault-generation horizon for a job
-// stream from its last submission and total minimum work on the machine.
-func SuggestFaultHorizon(maxRelease, totalMinWork float64, procs int) float64 {
-	return faults.SuggestHorizon(maxRelease, totalMinWork, procs)
-}
-
-// GenerateFaultsForJobs generates the fault plan of a job stream: when
-// cfg.Horizon is zero it is estimated with SuggestFaultHorizon from the
-// stream's last release and total minimum work over the total processors
-// of cfg.Clusters, so a given (seed, stream, cluster sizes) names the
-// same disaster everywhere.
-func GenerateFaultsForJobs(cfg FaultsConfig, jobs []OnlineJob) (*FaultsPlan, error) {
-	if cfg.Horizon == 0 {
-		maxRelease, work := 0.0, 0.0
-		for i := range jobs {
-			if jobs[i].Release > maxRelease {
-				maxRelease = jobs[i].Release
-			}
-			w, _ := jobs[i].Task.MinWork()
-			work += w
-		}
-		procs := 0
-		for _, m := range cfg.Clusters {
-			procs += m
-		}
-		cfg.Horizon = faults.SuggestHorizon(maxRelease, work, procs)
-	}
-	return faults.Generate(cfg)
+// stream from its last release and total minimum work spread over procs
+// processors, so a given (stream, machine size) names the same horizon
+// everywhere.
+func SuggestFaultHorizon(jobs []OnlineJob, procs int) float64 {
+	return faults.SuggestHorizon(jobs, procs)
 }
 
 // ClusterReplanPolicy decides what a killed job looks like when it rejoins
@@ -986,10 +779,6 @@ const (
 	ClusterReplanRestart    = cluster.ReplanRestart
 	ClusterReplanCheckpoint = cluster.ReplanCheckpoint
 )
-
-// ParseClusterReplanKind converts "restart" or "checkpoint" into a replan
-// kind.
-func ParseClusterReplanKind(s string) (ClusterReplanKind, error) { return cluster.ParseReplanKind(s) }
 
 // ClusterKillEvent records one job killed by an outage during a run.
 type ClusterKillEvent = cluster.KillEvent
@@ -1028,25 +817,8 @@ func ValidateReservations(sched *Schedule, reservations []Reservation, blocked [
 // TraceRecord is one job of a (simplified) Standard Workload Format trace.
 type TraceRecord = trace.Record
 
-// TraceMoldableOptions drives the reconstruction of moldable tasks from
-// rigid trace jobs.
-type TraceMoldableOptions = trace.MoldableOptions
-
-// ParseTrace reads an SWF fragment.
-func ParseTrace(r io.Reader) ([]TraceRecord, error) { return trace.Parse(r) }
-
 // WriteTrace emits SWF records.
 func WriteTrace(w io.Writer, records []TraceRecord) error { return trace.Write(w, records) }
-
-// TraceToTasks reconstructs moldable tasks from rigid trace records using a
-// Downey speedup curve calibrated on the recorded allocation and run time.
-func TraceToTasks(records []TraceRecord, m int, opts *TraceMoldableOptions) []Task {
-	return trace.ToTasks(records, m, opts)
-}
-
-// TraceReleases extracts the submission times of the records, keyed by job
-// ID (for use as on-line release dates).
-func TraceReleases(records []TraceRecord) map[int]float64 { return trace.Releases(records) }
 
 // ScheduleToTrace exports a schedule as SWF records (submission times taken
 // from the releases map, 0 when absent).

@@ -5,6 +5,11 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"bicriteria/internal/dualapprox"
+	"bicriteria/internal/experiment"
+	"bicriteria/internal/moldable"
+	"bicriteria/internal/workload"
 )
 
 // TestFacadeEndToEnd exercises the public API the way a downstream user
@@ -75,7 +80,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err := WriteInstance(&buf, inst); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadInstance(&buf)
+	back, err := workload.ReadInstance(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +91,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeTaskHelpers(t *testing.T) {
 	seqTask := NewSequentialTask(0, 1, 2)
-	rigid := NewRigidTask(1, 2, 3, 4)
+	rigid := moldable.Rigid(1, 2, 3, 4)
 	perfect := NewPerfectlyMoldableTask(2, 1, 12, 4)
 	inst := NewInstance(4, []Task{seqTask, rigid, perfect})
 	if err := inst.Validate(); err != nil {
@@ -95,7 +100,7 @@ func TestFacadeTaskHelpers(t *testing.T) {
 	if inst.Tasks[2].Time(4) != 3 {
 		t.Fatalf("perfectly moldable task should have p(4)=3")
 	}
-	res, err := DualApproximation(inst)
+	res, err := dualapprox.TwoShelf(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +139,7 @@ func TestFacadeExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FormatExperiment(res)
+	out := experiment.FormatTable(res)
 	if !strings.Contains(out, "demt") || !strings.Contains(out, "saf") {
 		t.Fatalf("experiment output missing algorithms:\n%s", out)
 	}

@@ -15,7 +15,7 @@ import (
 // editing the file. The single -seed flag deterministically derives
 // every sub-stream: the task stream uses the seed itself, arrival
 // instants seed^ArrivalSeedSalt, runtime tails seed^RuntimeSeedSalt, and
-// the fault plan seed^ScenarioFaultSeedSalt (left implicit in the file —
+// the fault plan seed^scenario.FaultSeedSalt (left implicit in the file —
 // the compiler derives it — unless -fault-seed pins one explicitly).
 func genCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bicrit gen", flag.ContinueOnError)
@@ -44,11 +44,11 @@ func genCmd(args []string, out io.Writer) error {
 	noise := fs.Float64("noise", 0, "runtime perturbation fraction in [0, 1)")
 	raceCutoff := fs.Float64("race-cutoff", 0, "racing section: portfolio cutoff factor vs the batch lower bound; >1 enables racing (0 = omit the section)")
 	bandit := fs.Bool("bandit", false, "racing section: bias the launch order toward recent winners")
-	raceSeed := fs.Int64("race-seed", 0, "racing section: explicit bandit seed (0 = derive seed^ScenarioRaceSeedSalt)")
+	raceSeed := fs.Int64("race-seed", 0, "racing section: explicit bandit seed (0 = derive from -seed)")
 	faultMTBF := fs.Float64("fault-mtbf", 0, "fault injection: mean time between failures per node (0 = no faults section)")
 	faultShape := fs.Float64("fault-shape", 0, "Weibull shape of the failure law (0 = default)")
 	faultRepair := fs.Float64("fault-repair", 0, "mean node repair duration (0 = mtbf/10)")
-	faultSeed := fs.Int64("fault-seed", 0, "explicit fault seed (0 = derive seed^ScenarioFaultSeedSalt)")
+	faultSeed := fs.Int64("fault-seed", 0, "explicit fault seed (0 = derive from -seed)")
 	faultCorrMTBF := fs.Float64("fault-corr-mtbf", 0, "mean time between correlated group failures (0 = none)")
 	faultCorrSize := fs.Int("fault-corr-size", 0, "nodes per correlated failure group (0 = quarter of the cluster)")
 	shardMTBF := fs.Float64("shard-mtbf", 0, "mean time between whole-shard outages (0 = none)")

@@ -66,7 +66,7 @@ func TestRunMatchesClusterGolden(t *testing.T) {
 // TestRunMatchesClusterFaultsGolden does the same for the faulted
 // cluster golden. The fault seed is pinned explicitly: the golden was
 // recorded with fault seed = stream seed, while a scenario without one
-// derives ScenarioFaultSeed(seed).
+// derives seed^scenario.FaultSeedSalt.
 func TestRunMatchesClusterFaultsGolden(t *testing.T) {
 	path := writeScenario(t, bicriteria.Scenario{
 		Seed:     3,

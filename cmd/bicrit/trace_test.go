@@ -79,7 +79,7 @@ func TestRunTraceSpecSection(t *testing.T) {
 		Clusters: []bicriteria.ScenarioCluster{{Machines: 16}},
 		Workload: bicriteria.ScenarioWorkload{Kind: "mixed", Jobs: 25},
 		Arrivals: bicriteria.ScenarioArrivals{Rate: 5},
-		Trace:    &bicriteria.ScenarioTrace{Path: out, Format: bicriteria.TraceFormatJSONL},
+		Trace:    &bicriteria.ScenarioTrace{Path: out, Format: "jsonl"},
 	})
 	var buf bytes.Buffer
 	if err := runCmd([]string{scn}, &buf); err != nil {

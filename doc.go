@@ -74,8 +74,8 @@
 // values naming the offending field path ("clusters[2].machines"), raised
 // eagerly — before any goroutine spawns. See examples/scenario.
 //
-// The observability layer (internal/obs, exported as the Metrics*,
-// Prom* and Trace* identifiers) instruments all of the above without
+// The observability layer (internal/obs, exported as MetricsRegistry
+// and the Trace* identifiers) instruments all of the above without
 // adding a dependency: a Prometheus text-format registry (counters,
 // gauges, histograms sharing internal/stats' log-spaced bucket
 // geometry) that the cluster engine, the grid federation and the serve
@@ -112,7 +112,7 @@
 // per-job deadline anchored to the paper's reference value (release +
 // deadline_factor times the job's own lower bound pmin), an overall
 // miss budget with an optional trailing burn-rate window, and
-// percentile targets on stretch and wait. EvaluateSLO is a
+// percentile targets on stretch and wait. The evaluation is a
 // deterministic pure function, so concurrent replays report
 // bit-identical summaries; reports gain an slo section, the service
 // answers GET /alerts, the bicrit_slo_* gauges ride the Prometheus
@@ -157,7 +157,11 @@
 // The root package is a thin facade over the internal packages: it exposes
 // the task and schedule model, the DEMT scheduler, the baselines, the lower
 // bounds, the workload generators, the simulator and the scenario system
-// under one import path.
+// under one import path. It keeps a name only if the examples, the package
+// examples or cmd/bicrit use it, if outside code needs it to spell a kept
+// signature or exported field, if it is a constant of such a type, or if it
+// is ValidationError, the error Compile documents; everything else stays
+// in the internal packages.
 //
 // # Quick start
 //

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -45,15 +46,7 @@ func main() {
 
 	// Size the fault horizon from the stream: last submission plus the
 	// serial work spread over the machine.
-	maxRelease, work := 0.0, 0.0
-	for _, a := range arrivals {
-		if a.Submit > maxRelease {
-			maxRelease = a.Submit
-		}
-		w, _ := a.Task.MinWork()
-		work += w
-	}
-	horizon := bicriteria.SuggestFaultHorizon(maxRelease, work, 32)
+	horizon := bicriteria.SuggestFaultHorizon(stream, 32)
 	fmt.Printf("fault scenario: %d jobs on 3 clusters (16+8+8 processors), fault horizon %.0f\n\n", jobs, horizon)
 
 	base := bicriteria.FaultsConfig{
@@ -101,7 +94,7 @@ func main() {
 			cfg.Faults = plan
 			windows = len(plan.Nodes) + len(plan.Shards)
 		}
-		report, err := bicriteria.RunGrid(cfg, stream)
+		report, err := bicriteria.RunGrid(context.Background(), cfg, stream)
 		if err != nil {
 			log.Fatal(err)
 		}

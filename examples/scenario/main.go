@@ -1,9 +1,9 @@
 // Command scenario demonstrates the Scenario API v2: one declarative,
 // versioned spec that compiles to any layer of the stack.
 //
-// The program builds a grid scenario with functional options, compiles
-// it, streams routing decisions and batch commits through an Observer
-// while the replay runs (with a cancellable context), prints the unified
+// The program builds a grid scenario as a struct literal, compiles it,
+// streams routing decisions and batch commits through an Observer while
+// the replay runs (with a cancellable context), prints the unified
 // report, and round-trips the spec through its JSON form — the same file
 // format `bicrit run` consumes.
 package main
@@ -21,24 +21,24 @@ import (
 func main() {
 	// One spec for the whole experiment: a three-shard grid, a bursty
 	// mixed workload, adaptive batching, noise, and a pinch of faults.
-	scn, err := bicriteria.NewScenario(
-		bicriteria.ScenarioWithName("quickstart-grid"),
-		bicriteria.ScenarioWithSeed(7),
-		bicriteria.ScenarioWithClusters(32, 16, 16),
-		bicriteria.ScenarioWithWorkload("mixed", 80),
-		bicriteria.ScenarioWithArrivals(5, 4),
-		bicriteria.ScenarioWithBatchPolicy("adaptive", 0, 0, 0),
-		bicriteria.ScenarioWithRouting("least-backlog", 40),
-		bicriteria.ScenarioWithNoise(0.15),
-		bicriteria.ScenarioWithFaults(bicriteria.ScenarioFaults{MTBF: 40, Repair: 8}),
-	)
-	if err != nil {
-		log.Fatal(err)
+	// Zero fields take their defaults; the seed names the experiment, so
+	// set it explicitly.
+	scn := bicriteria.Scenario{
+		Name:     "quickstart-grid",
+		Seed:     7,
+		Clusters: []bicriteria.ScenarioCluster{{Machines: 32}, {Machines: 16}, {Machines: 16}},
+		Workload: bicriteria.ScenarioWorkload{Kind: "mixed", Jobs: 80},
+		Arrivals: bicriteria.ScenarioArrivals{Rate: 5, Burst: 4},
+		Batch:    bicriteria.ScenarioBatch{Policy: "adaptive"},
+		Routing:  bicriteria.ScenarioRouting{Policy: "least-backlog", AdmitBacklog: 40},
+		Noise:    0.15,
+		Faults:   &bicriteria.ScenarioFaults{MTBF: 40, Repair: 8},
 	}
 
-	// Compile selects the engine from the topology (grid here) and
-	// validates everything eagerly: a bad spec dies now, with the exact
-	// field path, not mid-replay.
+	// Compile fills in the version, infers the topology from the cluster
+	// count (grid here), selects its engine and validates everything
+	// eagerly: a bad spec dies now, with the exact field path, not
+	// mid-replay.
 	runner, err := bicriteria.Compile(scn)
 	if err != nil {
 		log.Fatal(err)

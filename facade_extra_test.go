@@ -2,9 +2,15 @@ package bicriteria
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
+
+	"bicriteria/internal/cluster"
+	"bicriteria/internal/grid"
+	"bicriteria/internal/schedule"
+	"bicriteria/internal/trace"
 )
 
 // TestFacadeReservations exercises the reservation-aware scheduling through
@@ -61,7 +67,7 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), ";") {
 		t.Fatalf("missing SWF header")
 	}
-	back, err := ParseTrace(&buf)
+	back, err := trace.Parse(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +77,11 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 
 	// Reconstruct moldable jobs from the rigid records and replay them
 	// on-line.
-	tasks := TraceToTasks(back, 12, nil)
+	tasks := trace.ToTasks(back, 12, nil)
 	if len(tasks) != len(back) {
 		t.Fatalf("reconstruction lost jobs")
 	}
-	releases := TraceReleases(back)
+	releases := trace.Releases(back)
 	jobs := make([]OnlineJob, len(tasks))
 	for i, task := range tasks {
 		jobs[i] = OnlineJob{Task: task, Release: releases[task.ID]}
@@ -85,7 +91,7 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay := NewInstance(12, tasks)
-	if err := onlineRes.Schedule.Validate(replay, &ValidateOptions{ReleaseDates: releases}); err != nil {
+	if err := onlineRes.Schedule.Validate(replay, &schedule.ValidateOptions{ReleaseDates: releases}); err != nil {
 		t.Fatalf("replayed schedule invalid: %v", err)
 	}
 }
@@ -125,23 +131,23 @@ func TestFacadeClusterConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewClusterEngine(tc.cfg); err == nil {
-				t.Fatalf("NewClusterEngine accepted %s", tc.name)
+			if _, err := cluster.New(tc.cfg); err == nil {
+				t.Fatalf("cluster.New accepted %s", tc.name)
 			}
-			if _, err := RunCluster(tc.cfg, nil); err == nil {
+			if _, err := RunCluster(context.Background(), tc.cfg, nil); err == nil {
 				t.Fatalf("RunCluster accepted %s", tc.name)
 			}
 		})
 	}
 
 	// Bad policy and noise constructors.
-	if _, err := FixedIntervalPolicy(0); err == nil {
+	if _, err := cluster.FixedInterval(0); err == nil {
 		t.Fatal("zero interval accepted")
 	}
-	if _, err := AdaptiveBacklogPolicy(0, 10); err == nil {
+	if _, err := cluster.AdaptiveBacklog(0, 10); err == nil {
 		t.Fatal("zero work target accepted")
 	}
-	if _, err := AdaptiveBacklogPolicy(10, -1); err == nil {
+	if _, err := cluster.AdaptiveBacklog(10, -1); err == nil {
 		t.Fatal("negative max delay accepted")
 	}
 	if _, err := UniformRuntimeNoise(1.5, 1); err == nil {
@@ -158,11 +164,11 @@ func TestFacadeClusterConfigValidation(t *testing.T) {
 // runs agree.
 func TestFacadeClusterDeterministicReplay(t *testing.T) {
 	jobs := facadeStream(t, 24, 60, 21)
-	interval, err := FixedIntervalPolicy(15)
+	interval, err := cluster.FixedInterval(15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := AdaptiveBacklogPolicy(96, 40)
+	adaptive, err := cluster.AdaptiveBacklog(96, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +177,7 @@ func TestFacadeClusterDeterministicReplay(t *testing.T) {
 		objective ClusterObjective
 		policy    ClusterBatchPolicy
 	}{
-		{"makespan/idle", ClusterObjective{Kind: ClusterObjectiveMakespan}, BatchOnIdle()},
+		{"makespan/idle", ClusterObjective{Kind: ClusterObjectiveMakespan}, cluster.BatchOnIdle()},
 		{"minsum/interval", ClusterObjective{Kind: ClusterObjectiveWeightedCompletion}, interval},
 		{"combined/adaptive", ClusterObjective{Kind: ClusterObjectiveCombined, Alpha: 0.5}, adaptive},
 	}
@@ -191,18 +197,18 @@ func TestFacadeClusterDeterministicReplay(t *testing.T) {
 			}
 			seqCfg := base
 			seqCfg.Sequential = true
-			seq, err := RunCluster(seqCfg, jobs)
+			seq, err := RunCluster(context.Background(), seqCfg, jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := RunCluster(base, jobs)
+			par, err := RunCluster(context.Background(), base, jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(seq, par) {
 				t.Fatal("parallel facade replay differs from sequential replay")
 			}
-			again, err := RunCluster(base, jobs)
+			again, err := RunCluster(context.Background(), base, jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +234,7 @@ func TestFacadeClusterDeterministicReplay(t *testing.T) {
 func TestFacadeGrid(t *testing.T) {
 	jobs := facadeStream(t, 32, 50, 33)
 	for _, name := range []string{"round-robin", "least-backlog", "lower-bound", "moldability"} {
-		policy, err := ParseGridRoutingPolicy(name)
+		policy, err := grid.ParsePolicy(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,14 +251,14 @@ func TestFacadeGrid(t *testing.T) {
 			Routing:      policy,
 			AdmitBacklog: 30,
 		}
-		par, err := RunGrid(cfg, jobs)
+		par, err := RunGrid(context.Background(), cfg, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seqCfg := cfg
-		seqCfg.Routing, _ = ParseGridRoutingPolicy(name)
+		seqCfg.Routing, _ = grid.ParsePolicy(name)
 		seqCfg.Sequential = true
-		seq, err := RunGrid(seqCfg, jobs)
+		seq, err := RunGrid(context.Background(), seqCfg, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,10 +269,10 @@ func TestFacadeGrid(t *testing.T) {
 			t.Fatalf("%s: unexpected grid metrics %+v", name, par.Metrics)
 		}
 	}
-	if _, err := ParseGridRoutingPolicy("nonsense"); err == nil {
+	if _, err := grid.ParsePolicy("nonsense"); err == nil {
 		t.Fatal("unknown routing policy accepted")
 	}
-	if _, err := NewGrid(GridConfig{}); err == nil {
+	if _, err := grid.New(GridConfig{}); err == nil {
 		t.Fatal("empty grid accepted")
 	}
 }

@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"bicriteria/internal/online"
 )
 
 // Window is a set of processors of one machine that is down during
@@ -214,12 +216,21 @@ func (p *Plan) Downtime(sizes []int, until float64) float64 {
 }
 
 // SuggestHorizon estimates a fault-generation horizon for a job stream
-// from its last submission time and its total minimum work spread over the
-// machine: long enough that failures keep arriving for the whole replay
-// even with recovery delays, short enough that plans stay small.
-func SuggestHorizon(maxRelease, totalMinWork float64, procs int) float64 {
+// from its last release and its total minimum work spread over procs
+// processors: long enough that failures keep arriving for the whole replay
+// even with recovery delays, short enough that plans stay small. The work
+// is summed in stream order, so a given stream always yields the same bits.
+func SuggestHorizon(jobs []online.Job, procs int) float64 {
+	maxRelease, work := 0.0, 0.0
+	for i := range jobs {
+		if jobs[i].Release > maxRelease {
+			maxRelease = jobs[i].Release
+		}
+		w, _ := jobs[i].Task.MinWork()
+		work += w
+	}
 	if procs < 1 {
 		procs = 1
 	}
-	return maxRelease + 4*totalMinWork/float64(procs) + 1
+	return maxRelease + 4*work/float64(procs) + 1
 }

@@ -4,6 +4,9 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"bicriteria/internal/moldable"
+	"bicriteria/internal/online"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -188,14 +191,23 @@ func TestDowntime(t *testing.T) {
 }
 
 func TestSuggestHorizon(t *testing.T) {
-	h := SuggestHorizon(50, 320, 16)
+	// Releases out of order: the horizon starts from the latest one, not
+	// the last in the stream. Minimum work 120 + 200 = 320.
+	jobs := []online.Job{
+		{Task: moldable.Sequential(0, 1, 120), Release: 50},
+		{Task: moldable.Sequential(1, 1, 200), Release: 10},
+	}
+	h := SuggestHorizon(jobs, 16)
 	if h <= 50 {
 		t.Fatalf("horizon %g does not extend past the last release", h)
 	}
 	if h != 50+4*320/16.0+1 {
 		t.Fatalf("unexpected horizon %g", h)
 	}
-	if SuggestHorizon(0, 10, 0) <= 0 {
+	if SuggestHorizon(jobs, 0) <= 0 {
 		t.Fatal("degenerate processor count gave a non-positive horizon")
+	}
+	if h := SuggestHorizon(nil, 16); h != 1 {
+		t.Fatalf("empty stream horizon %g, want 1", h)
 	}
 }

@@ -387,19 +387,16 @@ func benchSLOEvaluate(b *testing.B) {
 	}
 }
 
-// benchScenarioCompile times the scenario front door: building and
-// compiling a 4-cluster grid spec, which validates eagerly and generates
-// the full 400-job arrival stream.
+// benchScenarioCompile times the scenario front door: compiling a
+// 4-cluster grid spec, which validates eagerly and generates the full
+// 400-job arrival stream.
 func benchScenarioCompile(b *testing.B) {
-	spec, err := scenario.New(
-		scenario.WithClusters(32, 32, 16, 16),
-		scenario.WithWorkload("mixed", 400),
-		scenario.WithArrivals(8, 4),
-		scenario.WithNoise(0.15),
-		scenario.WithSeed(42),
-	)
-	if err != nil {
-		b.Fatal(err)
+	spec := scenario.Scenario{
+		Seed:     42,
+		Clusters: []scenario.Cluster{{Machines: 32}, {Machines: 32}, {Machines: 16}, {Machines: 16}},
+		Workload: scenario.Workload{Kind: "mixed", Jobs: 400},
+		Arrivals: scenario.Arrivals{Rate: 8, Burst: 4},
+		Noise:    0.15,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -442,8 +442,8 @@ func buildJobs(s Scenario) ([]online.Job, error) {
 // buildFaults generates the deterministic fault plan of the scenario, or
 // nil without an active faults section. The horizon, when unset, is
 // estimated from the stream (faults.SuggestHorizon over the total
-// processors); ServeConfig passes
-// nil jobs and therefore requires an explicit horizon.
+// processors); ServeConfig passes nil jobs and therefore requires an
+// explicit horizon.
 func buildFaults(s Scenario, jobs []online.Job) (*faults.Plan, error) {
 	if !s.Faults.Active() {
 		return nil, nil
@@ -465,19 +465,11 @@ func buildFaults(s Scenario, jobs []online.Job) (*faults.Plan, error) {
 		if jobs == nil {
 			return nil, validate.Errorf("faults.horizon", "a service scenario needs an explicit fault horizon (no finite stream to estimate one from)")
 		}
-		maxRelease, work := 0.0, 0.0
-		for i := range jobs {
-			if jobs[i].Release > maxRelease {
-				maxRelease = jobs[i].Release
-			}
-			w, _ := jobs[i].Task.MinWork()
-			work += w
-		}
 		procs := 0
 		for _, m := range cfg.Clusters {
 			procs += m
 		}
-		cfg.Horizon = faults.SuggestHorizon(maxRelease, work, procs)
+		cfg.Horizon = faults.SuggestHorizon(jobs, procs)
 	}
 	plan, err := faults.Generate(cfg)
 	if err != nil {

@@ -106,3 +106,30 @@ func TestWriteValidates(t *testing.T) {
 		t.Fatal("invalid scenario serialized")
 	}
 }
+
+// TestReadRejectsTrailingData pins that a scenario file is one JSON
+// document: a second object after it (whose unknown knob would otherwise
+// never be seen) or junk fails loudly; trailing whitespace is fine.
+func TestReadRejectsTrailingData(t *testing.T) {
+	var doc bytes.Buffer
+	if err := WriteScenario(&doc, base()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		suffix string
+		ok     bool
+	}{
+		{"trailing newline", "\n\n", true},
+		{"trailing object", `{"seed": 99, "bogus_knob": 1}`, false},
+		{"trailing garbage", "garbage", false},
+		{"stray brace", "}", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ReadScenario(strings.NewReader(doc.String() + tc.suffix))
+			if (err == nil) != tc.ok {
+				t.Fatalf("accepted=%v, want %v (err: %v)", err == nil, tc.ok, err)
+			}
+		})
+	}
+}

@@ -6,12 +6,11 @@
 // engine the topology needs.
 //
 // The spec is a plain value with a stable JSON form (Write/Read/Save/
-// LoadScenario, version-checked and unknown-field-rejecting), buildable
-// either as a struct literal or through functional options (New with
-// WithClusters, WithWorkload, ...). Validation is eager and field-
-// anchored: every failure is a *ValidationError naming the offending path
-// ("clusters[2].machines", "arrivals.rate"), raised at Compile time —
-// before any goroutine spawns.
+// LoadScenario, version-checked and unknown-field-rejecting), built as a
+// struct literal: Compile fills in the defaults (Normalized) before it
+// validates. Validation is eager and field-anchored: every failure is a
+// *ValidationError naming the offending path ("clusters[2].machines",
+// "arrivals.rate"), raised at Compile time — before any goroutine spawns.
 //
 // Compile turns a Scenario into a Runner: Run(ctx) replays the stream
 // through the right engine (cancellation threads into the batch loops),
@@ -22,7 +21,6 @@
 package scenario
 
 import (
-	"fmt"
 	"math"
 
 	"bicriteria/internal/slo"
@@ -371,143 +369,6 @@ type Scenario struct {
 	// report.
 	SLO *SLOSpec `json:"slo,omitempty"`
 }
-
-// Option mutates a scenario under construction; see New.
-type Option func(*Scenario)
-
-// New builds a scenario from functional options, applies the defaults
-// (version, inferred topology) and validates eagerly: the returned error,
-// if any, is a *ValidationError naming the offending field path.
-func New(opts ...Option) (Scenario, error) {
-	var s Scenario
-	s.Version = Version
-	s.Seed = 1
-	for _, opt := range opts {
-		opt(&s)
-	}
-	s = s.Normalized()
-	if err := s.Validate(); err != nil {
-		return Scenario{}, err
-	}
-	return s, nil
-}
-
-// WithName labels the scenario.
-func WithName(name string) Option { return func(s *Scenario) { s.Name = name } }
-
-// WithSeed sets the master seed.
-func WithSeed(seed int64) Option { return func(s *Scenario) { s.Seed = seed } }
-
-// WithTopology forces the topology (normally inferred from the cluster
-// count: one cluster is "single", several are "grid"; a one-cluster grid
-// must be forced explicitly).
-func WithTopology(t Topology) Option { return func(s *Scenario) { s.Topology = t } }
-
-// WithClusters declares one cluster per processor count. Reservations
-// already attached to a cluster index (options apply in order, and
-// WithReservation may run first) are kept; clusters beyond the new count
-// are dropped.
-func WithClusters(machines ...int) Option {
-	return func(s *Scenario) {
-		clusters := make([]Cluster, len(machines))
-		for i, m := range machines {
-			if i < len(s.Clusters) {
-				clusters[i] = s.Clusters[i]
-			}
-			clusters[i].Machines = m
-		}
-		s.Clusters = clusters
-	}
-}
-
-// WithReservation blocks procs processors of cluster index during
-// [start, end). The option is order-independent with WithClusters: a
-// reservation on a not-yet-declared index grows the cluster list with
-// zero-machine placeholders, which a later WithClusters fills in — and
-// which validation rejects ("clusters[i].machines") if nothing ever
-// does, so a misaddressed reservation fails eagerly instead of being
-// dropped. A negative index panics, like any out-of-range slice index.
-func WithReservation(cluster, procs int, start, end float64) Option {
-	return func(s *Scenario) {
-		if cluster < 0 {
-			panic(fmt.Sprintf("scenario: negative cluster index %d in WithReservation", cluster))
-		}
-		for len(s.Clusters) <= cluster {
-			s.Clusters = append(s.Clusters, Cluster{})
-		}
-		s.Clusters[cluster].Reservations = append(s.Clusters[cluster].Reservations,
-			Reservation{Procs: procs, Start: start, End: end})
-	}
-}
-
-// WithWorkload selects the task family and job count.
-func WithWorkload(kind string, jobs int) Option {
-	return func(s *Scenario) { s.Workload.Kind, s.Workload.Jobs = kind, jobs }
-}
-
-// WithArrivals sets the generated stream's rate and burst size.
-func WithArrivals(rate float64, burst int) Option {
-	return func(s *Scenario) { s.Arrivals.Rate, s.Arrivals.Burst = rate, burst }
-}
-
-// WithArrivalLaws selects the inter-arrival and runtime-tail laws.
-func WithArrivalLaws(interarrival string, interarrivalShape float64, runtimeTail string, runtimeTailShape float64) Option {
-	return func(s *Scenario) {
-		s.Arrivals.Interarrival = interarrival
-		s.Arrivals.InterarrivalShape = interarrivalShape
-		s.Arrivals.RuntimeTail = runtimeTail
-		s.Arrivals.RuntimeTailShape = runtimeTailShape
-	}
-}
-
-// WithArrivalFile replays a saved arrival stream instead of generating.
-func WithArrivalFile(path string) Option { return func(s *Scenario) { s.Arrivals.File = path } }
-
-// WithTraceFile replays an SWF trace instead of generating.
-func WithTraceFile(path string) Option { return func(s *Scenario) { s.Arrivals.Trace = path } }
-
-// WithBatchPolicy selects the batching policy and its knobs (pass zeros
-// for the defaults).
-func WithBatchPolicy(policy string, interval, workFactor, maxDelay float64) Option {
-	return func(s *Scenario) {
-		s.Batch = Batch{Policy: policy, Interval: interval, WorkFactor: workFactor, MaxDelay: maxDelay}
-	}
-}
-
-// WithObjective selects the commit objective.
-func WithObjective(kind string, alpha float64) Option {
-	return func(s *Scenario) { s.Objective = Objective{Kind: kind, Alpha: alpha} }
-}
-
-// WithRouting selects the grid routing policy and admission limit.
-func WithRouting(policy string, admitBacklog float64) Option {
-	return func(s *Scenario) { s.Routing.Policy, s.Routing.AdmitBacklog = policy, admitBacklog }
-}
-
-// WithNoise perturbs realized runtimes by a uniform fraction.
-func WithNoise(frac float64) Option { return func(s *Scenario) { s.Noise = frac } }
-
-// WithSequential disables all goroutines.
-func WithSequential(sequential bool) Option { return func(s *Scenario) { s.Sequential = sequential } }
-
-// WithRacing attaches a portfolio-racing section.
-func WithRacing(r RacingSpec) Option { return func(s *Scenario) { s.Racing = &r } }
-
-// WithFaults attaches a fault-injection section.
-func WithFaults(f Faults) Option { return func(s *Scenario) { s.Faults = &f } }
-
-// WithService attaches a service-pacing section.
-func WithService(svc Service) Option { return func(s *Scenario) { s.Service = &svc } }
-
-// WithTrace renders the run's event stream to path; format is "chrome"
-// (default) or "jsonl".
-func WithTrace(path, format string) Option {
-	return func(s *Scenario) { s.Trace = &TraceSpec{Path: path, Format: format} }
-}
-
-// WithSLO attaches a service-level-objective section: per-job deadlines
-// and tail targets evaluated after every run.
-func WithSLO(spec SLOSpec) Option { return func(s *Scenario) { s.SLO = &spec } }
 
 // Normalized returns a copy with the resolvable defaults filled in: the
 // current version for a zero version and the inferred topology for an

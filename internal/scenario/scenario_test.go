@@ -31,6 +31,12 @@ func TestValidateFieldPaths(t *testing.T) {
 		{"single needs one cluster", func(s *Scenario) { s.Topology = TopologySingle }, "topology"},
 		{"no clusters", func(s *Scenario) { s.Clusters = nil }, "clusters"},
 		{"machines", func(s *Scenario) { s.Clusters[1].Machines = 0 }, "clusters[1].machines"},
+		{"single cluster machines", func(s *Scenario) {
+			s.Topology, s.Clusters = TopologySingle, []Cluster{{Machines: 0}}
+		}, "clusters[0].machines"},
+		{"reserved cluster without machines", func(s *Scenario) {
+			s.Clusters = append(s.Clusters, Cluster{Reservations: []Reservation{{Procs: 4, Start: 50, End: 120}}})
+		}, "clusters[2].machines"},
 		{"reservation procs", func(s *Scenario) {
 			s.Clusters[0].Reservations = []Reservation{{Procs: 0, Start: 0, End: 10}}
 		}, "clusters[0].reservations[0].procs"},
@@ -102,50 +108,38 @@ func TestValidateAccepts(t *testing.T) {
 	}
 }
 
-// TestNewOptions builds a scenario through the functional options and
-// checks defaults, inference and eager validation.
-func TestNewOptions(t *testing.T) {
-	s, err := New(
-		WithName("opts"),
-		WithSeed(7),
-		WithClusters(64, 32),
-		WithReservation(0, 8, 10, 20),
-		WithWorkload("mixed", 50),
-		WithArrivals(3, 2),
-		WithArrivalLaws("lognormal", 1.2, "weibull", 0.7),
-		WithBatchPolicy("interval", 40, 0, 0),
-		WithObjective("combined", 0.25),
-		WithRouting("round-robin", 12),
-		WithNoise(0.1),
-		WithSequential(true),
-		WithFaults(Faults{MTBF: 30}),
-	)
-	if err != nil {
+// TestNormalizedDefaults pins the defaults a struct literal gets from
+// Normalized (and so from Compile and WriteScenario): the current version
+// and the topology inferred from the cluster count, while explicit values
+// are kept.
+func TestNormalizedDefaults(t *testing.T) {
+	grid := Scenario{
+		Seed:     7,
+		Clusters: []Cluster{{Machines: 64, Reservations: []Reservation{{Procs: 8, Start: 10, End: 20}}}, {Machines: 32}},
+		Workload: Workload{Kind: "mixed", Jobs: 50},
+		Arrivals: Arrivals{Rate: 3, Burst: 2},
+		Faults:   &Faults{MTBF: 30},
+	}.Normalized()
+	if grid.Version != Version {
+		t.Fatalf("version %d", grid.Version)
+	}
+	if grid.Topology != TopologyGrid {
+		t.Fatalf("two clusters should infer grid, got %q", grid.Topology)
+	}
+	if err := grid.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if s.Version != Version {
-		t.Fatalf("version %d", s.Version)
-	}
-	if s.Topology != TopologyGrid {
-		t.Fatalf("two clusters should infer grid, got %q", s.Topology)
-	}
-	if len(s.Clusters[0].Reservations) != 1 || s.Clusters[0].Reservations[0].Procs != 8 {
-		t.Fatalf("reservation lost: %+v", s.Clusters)
-	}
-	if s.Faults == nil || s.Faults.MTBF != 30 {
-		t.Fatalf("faults section lost: %+v", s.Faults)
 	}
 
-	single, err := New(WithClusters(16), WithWorkload("mixed", 5), WithArrivals(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := Scenario{Clusters: []Cluster{{Machines: 16}}}.Normalized()
 	if single.Topology != TopologySingle {
 		t.Fatalf("one cluster should infer single, got %q", single.Topology)
 	}
-
-	if _, err := New(WithClusters(0)); err == nil {
-		t.Fatal("zero-processor cluster accepted")
+	forced := Scenario{Topology: TopologyGrid, Clusters: []Cluster{{Machines: 16}}}.Normalized()
+	if forced.Topology != TopologyGrid {
+		t.Fatalf("explicit topology overridden: %q", forced.Topology)
+	}
+	if pinned := (Scenario{Version: 99}).Normalized(); pinned.Version != 99 {
+		t.Fatalf("explicit version overridden: %d", pinned.Version)
 	}
 }
 
@@ -172,38 +166,5 @@ func TestValidationErrorRendering(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "clusters[1].machines: ") {
 		t.Fatalf("unexpected rendering: %q", err.Error())
-	}
-}
-
-// TestWithReservationOrderIndependent pins the review fix: a reservation
-// attached before its cluster is declared survives WithClusters, and a
-// reservation on an index no WithClusters ever fills fails validation
-// instead of being silently dropped.
-func TestWithReservationOrderIndependent(t *testing.T) {
-	s, err := New(
-		WithReservation(0, 4, 50, 120), // before WithClusters
-		WithClusters(16, 8),
-		WithWorkload("mixed", 10),
-		WithArrivals(2, 0),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Clusters[0].Reservations) != 1 || s.Clusters[0].Reservations[0].Procs != 4 {
-		t.Fatalf("reservation placed before WithClusters was dropped: %+v", s.Clusters)
-	}
-
-	_, err = New(
-		WithClusters(16),
-		WithReservation(3, 4, 50, 120), // index never declared
-		WithWorkload("mixed", 10),
-		WithArrivals(2, 0),
-	)
-	if err == nil {
-		t.Fatal("reservation on an undeclared cluster index validated")
-	}
-	var verr *ValidationError
-	if !errors.As(err, &verr) || !strings.Contains(verr.Field, "machines") {
-		t.Fatalf("want a clusters[i].machines validation error, got %v", err)
 	}
 }

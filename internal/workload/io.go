@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -40,11 +41,10 @@ func WriteInstance(w io.Writer, inst *moldable.Instance) error {
 }
 
 // ReadInstance parses an instance previously written by WriteInstance and
-// validates it.
+// validates it. Anything but whitespace after the document is rejected.
 func ReadInstance(r io.Reader) (*moldable.Instance, error) {
 	var ff fileFormat
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&ff); err != nil {
+	if err := decodeOne(r, &ff); err != nil {
 		return nil, fmt.Errorf("workload: cannot decode instance: %w", err)
 	}
 	if ff.Version != formatVersion {
@@ -100,12 +100,11 @@ func WriteArrivals(w io.Writer, m int, arrivals []Arrival) error {
 
 // ReadArrivals parses a stream previously written by WriteArrivals and
 // validates it: every task must be well-formed and the submission times
-// non-negative and non-decreasing. It returns the stream and the recorded
-// machine size.
+// non-negative and non-decreasing, and nothing but whitespace may follow
+// the document. It returns the stream and the recorded machine size.
 func ReadArrivals(r io.Reader) ([]Arrival, int, error) {
 	var ff arrivalsFormat
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&ff); err != nil {
+	if err := decodeOne(r, &ff); err != nil {
 		return nil, 0, fmt.Errorf("workload: cannot decode arrivals: %w", err)
 	}
 	if ff.Version != arrivalsVersion {
@@ -128,6 +127,19 @@ func ReadArrivals(r io.Reader) ([]Arrival, int, error) {
 		arrivals[i] = Arrival{Task: task, Submit: a.Submit}
 	}
 	return arrivals, ff.M, nil
+}
+
+// decodeOne decodes exactly one JSON document from r into v: anything but
+// whitespace after it is an error.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the document")
+	}
+	return nil
 }
 
 // SaveArrivals writes an arrival stream to a file path.

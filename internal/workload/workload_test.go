@@ -483,3 +483,57 @@ func TestReadArrivalsRejectsBadStreams(t *testing.T) {
 		}
 	}
 }
+
+// trailingCases appends each suffix to a valid document: only whitespace
+// may follow it.
+var trailingCases = []struct {
+	name   string
+	suffix string
+	ok     bool
+}{
+	{"trailing newline", "\n\n", true},
+	{"trailing object", `{"version": 1, "bogus_knob": 1}`, false},
+	{"trailing garbage", "trailing junk", false},
+	{"stray brace", "}", false},
+}
+
+// TestReadInstanceRejectsTrailingData pins that an instance file is one
+// JSON document: a second value or junk after it fails loudly.
+func TestReadInstanceRejectsTrailingData(t *testing.T) {
+	inst, err := Generate(Config{Kind: Mixed, M: 8, N: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := WriteInstance(&doc, inst); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range trailingCases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ReadInstance(strings.NewReader(doc.String() + tc.suffix))
+			if (err == nil) != tc.ok {
+				t.Fatalf("accepted=%v, want %v (err: %v)", err == nil, tc.ok, err)
+			}
+		})
+	}
+}
+
+// TestReadArrivalsRejectsTrailingData pins the same for arrival streams.
+func TestReadArrivalsRejectsTrailingData(t *testing.T) {
+	arrivals, err := GenerateArrivals(ArrivalConfig{Workload: Config{Kind: Mixed, M: 8, N: 4, Seed: 1}, Rate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := WriteArrivals(&doc, 8, arrivals); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range trailingCases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := ReadArrivals(strings.NewReader(doc.String() + tc.suffix))
+			if (err == nil) != tc.ok {
+				t.Fatalf("accepted=%v, want %v (err: %v)", err == nil, tc.ok, err)
+			}
+		})
+	}
+}
